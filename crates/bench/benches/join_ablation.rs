@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §7): MPMGJN vs Stack-Tree structural joins on the
+//! Ablation: MPMGJN vs Stack-Tree structural joins on the
 //! same root-split index — the paper's "more efficient stack-based
 //! approaches can be directly applied over our root-split coding".
 

@@ -1,5 +1,5 @@
 //! Posting-list codec throughput per coding scheme (the varint delta
-//! encoding ablation of DESIGN.md §7).
+//! encoding ablation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use si_core::coding::{decode_postings, Coding, NodeVal, PostingBuilder};

@@ -8,16 +8,15 @@
 //! ```
 //!
 //! Experiment ids: fig2 fig3 fig8 fig9 fig10 tab1 fig11 fig12 tab2 fig13
-//! tab3 streaming service planner shard pipeline seek obs cache
-//! prefetch (or `all`). See DESIGN.md §6 for
-//! the per-experiment index and EXPERIMENTS.md for recorded
-//! paper-vs-measured results. `streaming` runs the executor ablation
+//! tab3 streaming service planner shard pipeline seek obs cache (or
+//! `all`). README.md, *Tests and benches*, says what each `BENCH_*.json`
+//! records and how to read it. `streaming` runs the executor ablation
 //! (streaming pipeline vs legacy materializing evaluator) and writes
 //! `BENCH_streaming.json`; `service` benchmarks the concurrent query
 //! service (shared scans + block cache) against one-at-a-time execution
 //! and writes `BENCH_service.json`; `planner` A/B-compares the
-//! cost-based planner (persistent per-key statistics) against PR 1's
-//! byte-length ordering, asserting identical match sets, and writes
+//! cost-based planner (persistent per-key statistics) against the
+//! byte-length ordering (`PlannerMode::ByteLen`), asserting identical match sets, and writes
 //! `BENCH_planner.json`; `shard` races the tid-partitioned parallel
 //! shard build against the single-file parallel build and the sharded
 //! scatter-gather service against one-at-a-time monolith execution
@@ -31,7 +30,7 @@
 //! against linear drains on a selective singleton workload (match sets
 //! asserted identical per query, seeks and skipped-posting counters
 //! asserted nonzero) and writes `BENCH_seek.json`; `obs` measures what
-//! the PR 7 instrumentation itself costs (no timings vs disabled vs
+//! the instrumentation itself costs (no timings vs disabled vs
 //! enabled spans, match sets asserted identical; panics if the disabled
 //! path exceeds 5% overhead or the stage partition attributes under 90%
 //! of the enabled wall) and writes `BENCH_obs.json`; `cache` replays a
@@ -39,13 +38,7 @@
 //! sharded service (every event checked against the uncached evaluator;
 //! panics on divergence, a warm hit rate under 0.4, a warm/cold median
 //! ratio under 10x, or zero reused shard partials after an ingest) and
-//! writes `BENCH_cache.json`; `prefetch` A/B-compares overlapped
-//! posting I/O (the prefetch scheduler plus plan-driven cover hints)
-//! against serial page reads on cold buffered, fully-warm, and mmap
-//! read paths with interleaved on/off reps (match sets asserted
-//! identical on every rep; panics if the cold buffered median speedup
-//! falls under 1.2x or the warm/disabled overhead exceeds 2%) and
-//! writes `BENCH_prefetch.json`.
+//! writes `BENCH_cache.json`.
 //!
 //! Flags: `--seed N` pins the corpus RNG seed (default `0x5EED0001`) so
 //! every `BENCH_*.json` is reproducible across machines; `--threads N`
@@ -74,7 +67,6 @@ const ALL: &[&str] = &[
     "seek",
     "obs",
     "cache",
-    "prefetch",
 ];
 
 fn main() {
@@ -192,10 +184,6 @@ fn main() {
             "cache" => {
                 let report = harness::run_cache_bench(scale, threads);
                 harness::emit_cache_bench(scale, &report).expect("write BENCH_cache.json");
-            }
-            "prefetch" => {
-                let report = harness::run_prefetch_bench(scale);
-                harness::emit_prefetch_bench(scale, &report).expect("write BENCH_prefetch.json");
             }
             _ => unreachable!("validated above"),
         }

@@ -3075,456 +3075,6 @@ pub fn emit_cache_bench(scale: Scale, report: &CacheBenchReport) -> std::io::Res
     Ok(())
 }
 
-// --------------------------------------------------------------------
-// Overlapped posting I/O: BENCH_prefetch.json
-// --------------------------------------------------------------------
-
-/// One scan-heavy query's figures in the cold buffered A/B.
-#[derive(Debug, Clone)]
-pub struct PrefetchBenchRow {
-    /// Query text id (`scan-<rank>` by posting count).
-    pub name: String,
-    /// Match count (asserted identical across every arm, every rep).
-    pub matches: usize,
-    /// Postings on the cover key (workload context).
-    pub postings: u64,
-    /// Min seconds on a fresh buffered pager with prefetch on.
-    pub cold_on_seconds: f64,
-    /// Min seconds on a fresh buffered pager with prefetch off.
-    pub cold_off_seconds: f64,
-    /// Prefetch hints issued on one cold prefetch-on rep.
-    pub hints: u64,
-    /// Prefetched pages this query consumed on that rep.
-    pub useful: u64,
-}
-
-/// Aggregate figures of [`run_prefetch_bench`].
-#[derive(Debug)]
-pub struct PrefetchBenchReport {
-    /// Per-query rows (interval coding, cold buffered arm).
-    pub rows: Vec<PrefetchBenchRow>,
-    /// Timed repetitions per query per state.
-    pub reps: usize,
-    /// Median over rows of `cold_off / cold_on` (the CI gate: >= 1.2).
-    pub cold_median_speedup: f64,
-    /// Min seconds for a full warm pass (pager LRU + block cache hot,
-    /// prefetch on: every hint suppressed by the cache-residency check).
-    pub warm_on_seconds: f64,
-    /// Min seconds for the same warm pass with prefetch disabled (the
-    /// one-atomic-branch path every site pays when the feature is off).
-    pub warm_off_seconds: f64,
-    /// `warm_on / warm_off - 1` (the CI gate: <= 0.02 either way).
-    pub warm_overhead: f64,
-    /// Min seconds for a full pass on fresh mmap opens, prefetch on
-    /// (touch reads). Zero when the platform cannot map.
-    pub mmap_on_seconds: f64,
-    /// Min seconds for the same mmap pass with prefetch off.
-    pub mmap_off_seconds: f64,
-}
-
-/// Drops the OS page cache for `path` (best effort, unix only). The
-/// cold-cache arm must not be served from the kernel's cache: a cached
-/// "cold" read collapses into a memcpy and leaves no I/O latency for
-/// the prefetcher to overlap, so every cold measurement evicts the
-/// index file first and both states pay real block-layer reads.
-#[cfg(unix)]
-fn drop_page_cache(path: &std::path::Path) {
-    use std::os::unix::io::AsRawFd;
-    extern "C" {
-        fn posix_fadvise(fd: i32, offset: i64, len: i64, advice: i32) -> i32;
-    }
-    const POSIX_FADV_DONTNEED: i32 = 4;
-    let Ok(f) = std::fs::File::open(path) else {
-        return;
-    };
-    // Only clean pages are droppable; the file was written moments ago.
-    let _ = f.sync_all();
-    // SAFETY: plain advice on an owned, open fd; no memory is touched.
-    unsafe {
-        posix_fadvise(f.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED);
-    }
-}
-
-#[cfg(not(unix))]
-fn drop_page_cache(_path: &std::path::Path) {}
-
-/// The prefetch workload: `S(//X)` where `X` ranks among the most
-/// frequent small index keys, so the cover is a single long posting
-/// list drained end to end — overflow-chain I/O dominates and the
-/// prefetcher's batched, overlapped reads have something to hide.
-fn prefetch_probe_queries(
-    index: &SubtreeIndex,
-    interner: &mut si_parsetree::LabelInterner,
-    n: usize,
-) -> Vec<(String, Query, u64)> {
-    let mut heavy: Vec<(u64, Vec<u8>)> = Vec::new();
-    for entry in index.iter_keys().expect("iter keys") {
-        let (key, _) = entry.expect("key entry");
-        let size = si_core::canonical::key_size(&key).unwrap_or(0);
-        if !(1..=2).contains(&size) {
-            continue;
-        }
-        let stats = index
-            .key_stats(&key)
-            .expect("key stats")
-            .expect("indexed key has stats");
-        heavy.push((stats.postings, key));
-    }
-    heavy.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    let mut queries = Vec::new();
-    for (postings, key) in &heavy {
-        if queries.len() >= n {
-            break;
-        }
-        let Some(rendered) = render_canon(key, interner) else {
-            continue;
-        };
-        let text = format!("S(//{rendered})");
-        let Ok(q) = si_query::parse_query(&text, interner) else {
-            continue;
-        };
-        queries.push((format!("scan-{}", queries.len()), q, *postings));
-    }
-    queries
-}
-
-/// Runs the overlapped-I/O A/B on three read paths, interleaving
-/// prefetch-on and prefetch-off repetitions (state order flips every
-/// rep so drift hits both sides equally):
-///
-/// - **cold buffered** — every measurement reopens the index through
-///   the buffered pager, so the page LRU starts empty and each posting
-///   page costs a positioned read; prefetch collapses those into
-///   batched worker-side reads ahead of the consumer. Per-query rows;
-///   the headline `>= 1.2x` median-speedup gate lives here.
-/// - **fully warm** — one buffered index plus a shared block cache,
-///   warmed until no rep touches the disk. Prefetch-on reps exercise
-///   the hints-suppressed path (cache residency checked before every
-///   hint), prefetch-off reps the disabled path; the `<= 2%` overhead
-///   gate bounds on-vs-off.
-/// - **mmap** — fresh read-only mapped opens; prefetch degrades to
-///   madvise-style touch reads. Reported, not gated (the OS page cache
-///   cannot be dropped portably, so cold mapped numbers are advisory).
-///
-/// Match sets are asserted identical against a prefetch-off baseline on
-/// every repetition of every arm, and the cold arm asserts hints were
-/// issued (on), consumed (on, across the suite), and absent (off) —
-/// the CI smoke job relies on these panics.
-pub fn run_prefetch_bench(scale: Scale) -> PrefetchBenchReport {
-    let work = Workdir::new("prefetch");
-    let n = scale.query_corpus();
-    let big = corpus(n);
-    let reps = scale.reps().max(5);
-    let dir = work.path("prefetch-idx");
-    let built = SubtreeIndex::build(
-        &dir,
-        big.trees(),
-        big.interner(),
-        IndexOptions::new(3, Coding::SubtreeInterval),
-    )
-    .expect("prefetch bench build");
-    assert!(built.has_skip_headers(), "fresh builds write skip headers");
-    let mut interner = built.interner();
-    let queries = prefetch_probe_queries(&built, &mut interner, 12);
-    assert!(
-        queries.len() >= 4,
-        "prefetch bench needs scan-heavy probes, found {}",
-        queries.len()
-    );
-    drop(built); // every timed arm reopens through its own pager
-
-    let was_enabled = si_storage::prefetch_enabled();
-    let ctx = si_core::ExecContext::default();
-
-    // Baseline match sets: buffered, prefetch off.
-    si_storage::set_prefetch_enabled(false);
-    let baseline: Vec<_> = {
-        let index = SubtreeIndex::open_buffered(&dir).expect("open buffered");
-        assert!(!index.is_mapped(), "open_buffered must not map");
-        queries
-            .iter()
-            .map(|(_, q, _)| index.evaluate_with(q, &ctx).expect("evaluate").matches)
-            .collect()
-    };
-
-    // Cold buffered arm: fresh pager LRU per measurement.
-    let mut cold_on = vec![f64::INFINITY; queries.len()];
-    let mut cold_off = vec![f64::INFINITY; queries.len()];
-    let mut hints = vec![0u64; queries.len()];
-    let mut useful = vec![0u64; queries.len()];
-    for rep in 0..reps {
-        let states = if rep % 2 == 0 {
-            [true, false]
-        } else {
-            [false, true]
-        };
-        for (qi, (name, q, _)) in queries.iter().enumerate() {
-            for on in states {
-                si_storage::set_prefetch_enabled(on);
-                drop_page_cache(&dir.join("index.bt"));
-                let index = SubtreeIndex::open_buffered(&dir).expect("open buffered");
-                let (result, secs) = time(|| index.evaluate_with(q, &ctx).expect("evaluate"));
-                assert_eq!(
-                    result.matches, baseline[qi],
-                    "prefetch changed the match set on {name} (cold, on={on})"
-                );
-                if on {
-                    assert!(
-                        result.stats.prefetch_hints > 0,
-                        "no prefetch hints on cold {name}"
-                    );
-                    hints[qi] = hints[qi].max(result.stats.prefetch_hints);
-                    useful[qi] = useful[qi].max(result.stats.prefetch_useful);
-                    cold_on[qi] = cold_on[qi].min(secs);
-                } else {
-                    assert_eq!(
-                        result.stats.prefetch_hints, 0,
-                        "hints issued while disabled on {name}"
-                    );
-                    cold_off[qi] = cold_off[qi].min(secs);
-                }
-            }
-        }
-    }
-    assert!(
-        useful.iter().sum::<u64>() > 0,
-        "cold prefetch-on runs consumed zero prefetched pages"
-    );
-
-    // Fully warm arm: one buffered pager + a shared block cache.
-    let mut warm_on = f64::INFINITY;
-    let mut warm_off = f64::INFINITY;
-    {
-        let index = SubtreeIndex::open_buffered(&dir).expect("open buffered");
-        let cache = std::sync::Arc::new(si_core::BlockCache::new(
-            si_core::BlockCacheConfig::default(),
-        ));
-        let warm_ctx = si_core::ExecContext {
-            cache: Some(cache),
-            ..Default::default()
-        };
-        si_storage::set_prefetch_enabled(false);
-        for _ in 0..2 {
-            for (qi, (name, q, _)) in queries.iter().enumerate() {
-                let r = index.evaluate_with(q, &warm_ctx).expect("evaluate");
-                assert_eq!(r.matches, baseline[qi], "warm-up diverged on {name}");
-            }
-        }
-        // Warm + on: hints may still be issued (a hint is just an async
-        // request), but a fully-resident pager must never actually load
-        // a page ahead of anyone — "warm lists cost nothing" means zero
-        // prefetched pages consumed.
-        si_storage::set_prefetch_enabled(true);
-        let (_, q, _) = &queries[0];
-        let r = index.evaluate_with(q, &warm_ctx).expect("evaluate");
-        assert_eq!(
-            r.stats.prefetch_useful, 0,
-            "warm query consumed prefetched pages"
-        );
-        // Twice the cold reps: the 2% gate compares two ~equal minima,
-        // so the noise floor has to be tighter than the gate.
-        for rep in 0..reps * 2 {
-            let states = if rep % 2 == 0 {
-                [true, false]
-            } else {
-                [false, true]
-            };
-            for on in states {
-                si_storage::set_prefetch_enabled(on);
-                let (got, secs) = time(|| {
-                    queries
-                        .iter()
-                        .map(|(_, q, _)| {
-                            index.evaluate_with(q, &warm_ctx).expect("evaluate").matches
-                        })
-                        .collect::<Vec<_>>()
-                });
-                for (qi, m) in got.iter().enumerate() {
-                    assert_eq!(m, &baseline[qi], "warm pass diverged (on={on})");
-                }
-                if on {
-                    warm_on = warm_on.min(secs);
-                } else {
-                    warm_off = warm_off.min(secs);
-                }
-            }
-        }
-    }
-
-    // Mmap arm: fresh read-only mapped opens, touch-read hints.
-    let mut mmap_on = f64::INFINITY;
-    let mut mmap_off = f64::INFINITY;
-    let mapped = SubtreeIndex::open(&dir)
-        .map(|i| i.is_mapped())
-        .unwrap_or(false);
-    if mapped {
-        for rep in 0..reps {
-            let states = if rep % 2 == 0 {
-                [true, false]
-            } else {
-                [false, true]
-            };
-            for on in states {
-                si_storage::set_prefetch_enabled(on);
-                drop_page_cache(&dir.join("index.bt"));
-                let index = SubtreeIndex::open(&dir).expect("open mapped");
-                let (got, secs) = time(|| {
-                    queries
-                        .iter()
-                        .map(|(_, q, _)| index.evaluate_with(q, &ctx).expect("evaluate").matches)
-                        .collect::<Vec<_>>()
-                });
-                for (qi, m) in got.iter().enumerate() {
-                    assert_eq!(m, &baseline[qi], "mmap pass diverged (on={on})");
-                }
-                if on {
-                    mmap_on = mmap_on.min(secs);
-                } else {
-                    mmap_off = mmap_off.min(secs);
-                }
-            }
-        }
-    } else {
-        mmap_on = 0.0;
-        mmap_off = 0.0;
-        eprintln!("prefetch bench: mmap unavailable, skipping the mapped arm");
-    }
-    si_storage::set_prefetch_enabled(was_enabled);
-
-    let rows: Vec<PrefetchBenchRow> = queries
-        .iter()
-        .enumerate()
-        .map(|(qi, (name, _, postings))| PrefetchBenchRow {
-            name: name.clone(),
-            matches: baseline[qi].len(),
-            postings: *postings,
-            cold_on_seconds: cold_on[qi],
-            cold_off_seconds: cold_off[qi],
-            hints: hints[qi],
-            useful: useful[qi],
-        })
-        .collect();
-    let mut speedups: Vec<f64> = rows
-        .iter()
-        .map(|r| r.cold_off_seconds / r.cold_on_seconds.max(1e-9))
-        .collect();
-    let cold_median_speedup = median(&mut speedups);
-    let warm_overhead = warm_on / warm_off.max(1e-9) - 1.0;
-    assert!(
-        cold_median_speedup >= 1.2,
-        "cold buffered median speedup {cold_median_speedup:.3}x under the 1.2x gate"
-    );
-    assert!(
-        warm_overhead <= 0.02,
-        "warm/disabled prefetch overhead {:.2}% over the 2% gate",
-        warm_overhead * 100.0
-    );
-    PrefetchBenchReport {
-        rows,
-        reps,
-        cold_median_speedup,
-        warm_on_seconds: warm_on,
-        warm_off_seconds: warm_off,
-        warm_overhead,
-        mmap_on_seconds: mmap_on,
-        mmap_off_seconds: mmap_off,
-    }
-}
-
-/// Prints the overlapped-I/O A/B summary and writes
-/// `BENCH_prefetch.json` into the current directory.
-pub fn emit_prefetch_bench(scale: Scale, report: &PrefetchBenchReport) -> std::io::Result<()> {
-    println!("# Overlapped posting I/O: prefetch on vs off");
-    println!(
-        "{} probes x {} reps per state, seed {:#x}",
-        report.rows.len(),
-        report.reps,
-        corpus_seed()
-    );
-    println!(
-        "{:<10} {:>9} {:>10} {:>12} {:>12} {:>9} {:>7} {:>7}",
-        "query", "postings", "matches", "cold off ms", "cold on ms", "speedup", "hints", "useful"
-    );
-    for r in &report.rows {
-        println!(
-            "{:<10} {:>9} {:>10} {:>12.3} {:>12.3} {:>8.2}x {:>7} {:>7}",
-            r.name,
-            r.postings,
-            r.matches,
-            r.cold_off_seconds * 1e3,
-            r.cold_on_seconds * 1e3,
-            r.cold_off_seconds / r.cold_on_seconds.max(1e-9),
-            r.hints,
-            r.useful
-        );
-    }
-    println!(
-        "cold buffered: {:.2}x median speedup (gate >= 1.2x)",
-        report.cold_median_speedup
-    );
-    println!(
-        "fully warm:    {:.3} ms on vs {:.3} ms off per pass, {:+.2}% overhead (gate <= 2%)",
-        report.warm_on_seconds * 1e3,
-        report.warm_off_seconds * 1e3,
-        report.warm_overhead * 100.0
-    );
-    if report.mmap_off_seconds > 0.0 {
-        println!(
-            "mmap:          {:.3} ms on vs {:.3} ms off per pass ({:.2}x, advisory)",
-            report.mmap_on_seconds * 1e3,
-            report.mmap_off_seconds * 1e3,
-            report.mmap_off_seconds / report.mmap_on_seconds.max(1e-9)
-        );
-    }
-    let on_q = latency_quantiles(report.rows.iter().map(|r| r.cold_on_seconds));
-    let off_q = latency_quantiles(report.rows.iter().map(|r| r.cold_off_seconds));
-    print_quantiles("cold prefetch-on latency", &on_q);
-    print_quantiles("cold prefetch-off latency", &off_q);
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"scale\": \"{scale:?}\",\n  \"mss\": 3,\n  \"seed\": {},\n  \"reps\": {},\n  \
-         \"match_sets_identical\": true,\n  \"cold_median_speedup\": {:.3},\n  \
-         \"cold_speedup_gate\": 1.2,\n  \"warm_on_ms\": {:.4},\n  \"warm_off_ms\": {:.4},\n  \
-         \"warm_overhead\": {:.5},\n  \"warm_overhead_gate\": 0.02,\n  \
-         \"mmap_on_ms\": {:.4},\n  \"mmap_off_ms\": {:.4},\n  \
-         \"latency_quantiles\": {{\"cold_on\": {}, \"cold_off\": {}}},\n  \"queries\": [\n",
-        corpus_seed(),
-        report.reps,
-        report.cold_median_speedup,
-        report.warm_on_seconds * 1e3,
-        report.warm_off_seconds * 1e3,
-        report.warm_overhead,
-        report.mmap_on_seconds * 1e3,
-        report.mmap_off_seconds * 1e3,
-        quantiles_json(&on_q),
-        quantiles_json(&off_q),
-    ));
-    for (i, r) in report.rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"query\": \"{}\", \"postings\": {}, \"matches\": {}, \
-             \"cold_off_ms\": {:.4}, \"cold_on_ms\": {:.4}, \"speedup\": {:.3}, \
-             \"hints\": {}, \"useful\": {}}}{}\n",
-            json_escape(&r.name),
-            r.postings,
-            r.matches,
-            r.cold_off_seconds * 1e3,
-            r.cold_on_seconds * 1e3,
-            r.cold_off_seconds / r.cold_on_seconds.max(1e-9),
-            r.hints,
-            r.useful,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_prefetch.json", json)?;
-    println!(
-        "wrote BENCH_prefetch.json ({} query measurements)",
-        report.rows.len()
-    );
-    Ok(())
-}
-
 /// Convenience: a tiny corpus + root-split index for Criterion benches.
 pub fn bench_fixture(
     sentences: usize,

@@ -41,7 +41,6 @@ USAGE:
                [--exec streaming|materialized]
                [--planner cost|bytes]
                [--cache-mb N] [--sort-pref 4.0]
-               [--prefetch true|false]
                [--explain-analyze] [--trace-json FILE]      evaluate a tree query
                                                             (--sort-pref: prefer sort-free
                                                             root-slot plans when stream
@@ -52,8 +51,7 @@ USAGE:
                                                             append one span-tree JSON line)
   si batch     --index DIR --queries FILE [--threads N]
                [--cache-mb 64] [--result-cache-mb 32]
-               [--batch-size 64] [--prefetch true|false]
-               [--trace-json FILE]
+               [--batch-size 64] [--trace-json FILE]
                [--stats-interval SECS] [--metrics-json FILE]
                [--slow-query-ms N] [--slow-log FILE]        run a query file concurrently
                                                             (--result-cache-mb: byte budget
@@ -61,7 +59,7 @@ USAGE:
                                                             invalidated on ingest; 0 = off)
   si serve     --index DIR [--threads N] [--cache-mb 64]
                [--result-cache-mb 32] [--batch-size 64]
-               [--prefetch true|false] [--trace-json FILE]
+               [--trace-json FILE]
                [--stats-interval SECS] [--metrics-json FILE]
                [--slow-query-ms N] [--slow-log FILE]        serve queries from stdin, batched
                                                             (--stats-interval: one JSON
@@ -258,19 +256,9 @@ fn ingest(args: &Args) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// `--prefetch BOOL` (default on): the process-wide overlapped-I/O
-/// switch ([`si_storage::set_prefetch_enabled`]). When off, every hint
-/// site degrades to one atomic load — the prefetch bench's disabled-
-/// overhead gate measures exactly this path.
-fn apply_prefetch_flag(args: &Args) -> Result<(), AnyError> {
-    si_storage::set_prefetch_enabled(args.get_or("prefetch", true)?);
-    Ok(())
-}
-
 fn query(args: &Args) -> Result<(), AnyError> {
     let index_dir = args.required("index")?;
     let show: usize = args.get_or("show", 0)?;
-    apply_prefetch_flag(args)?;
     let verbose: bool = args.get_or("verbose", false)?;
     let explain_analyze: bool = args.get_or("explain-analyze", false)?;
     let trace = trace_sink(args)?;
@@ -590,7 +578,6 @@ fn metrics_sink(args: &Args) -> Result<Option<LineSink>, AnyError> {
 fn batch(args: &Args) -> Result<(), AnyError> {
     let index_dir = args.required("index")?;
     let queries_file = args.required("queries")?;
-    apply_prefetch_flag(args)?;
     let config = service_config(args)?;
     let service = si_service::AnyQueryService::open(Path::new(index_dir), config)?;
     let text = std::fs::read_to_string(queries_file)?;
@@ -621,7 +608,6 @@ fn serve(
     out: &mut dyn Write,
 ) -> Result<(), AnyError> {
     let index_dir = args.required("index")?;
-    apply_prefetch_flag(args)?;
     let config = service_config(args)?;
     let service = si_service::AnyQueryService::open(Path::new(index_dir), config)?;
     let trace = trace_sink(args)?;
@@ -927,11 +913,6 @@ fn render_eval_stats(s: &EvalStats, cache_note: &str) -> String {
     );
     let _ = writeln!(
         out,
-        "prefetch    {} hints issued, {} prefetched pages consumed",
-        s.prefetch_hints, s.prefetch_useful
-    );
-    let _ = writeln!(
-        out,
         "results     {} whole-query hits ({} negative), {} misses, {} shard partials reused",
         s.result_hits, s.negative_hits, s.result_misses, s.partial_reuses
     );
@@ -1009,8 +990,7 @@ fn print_op(snap: &TimingsSnapshot, id: usize, covers: &[String], depth: usize) 
 
 /// One single-line JSON trace record (`--trace-json`): query text,
 /// match count, measured total nanoseconds, the result-cache counters,
-/// the prefetch counters, then the snapshot's own `stages` / `ops`
-/// fields spliced in.
+/// then the snapshot's own `stages` / `ops` fields spliced in.
 fn trace_line(
     query_text: &str,
     matches: usize,
@@ -1023,15 +1003,12 @@ fn trace_line(
     format!(
         "{{\"query\":\"{}\",\"matches\":{matches},\"total_ns\":{total_ns},\
          \"cache\":{{\"result_hits\":{},\"result_misses\":{},\
-         \"partial_reuses\":{},\"negative_hits\":{}}},\
-         \"prefetch\":{{\"hints\":{},\"useful\":{}}},{}",
+         \"partial_reuses\":{},\"negative_hits\":{}}},{}",
         json_escape(query_text),
         stats.result_hits,
         stats.result_misses,
         stats.partial_reuses,
         stats.negative_hits,
-        stats.prefetch_hints,
-        stats.prefetch_useful,
         &frag[1..]
     )
 }
@@ -1369,8 +1346,6 @@ struct ReportQuery {
     result_misses: u64,
     partial_reuses: u64,
     negative_hits: u64,
-    prefetch_hints: u64,
-    prefetch_useful: u64,
 }
 
 /// The dominant operator of a trace record's `ops` forest: largest
@@ -1450,11 +1425,6 @@ fn report(args: &Args, out: &mut dyn Write) -> Result<(), AnyError> {
                     rec.result_misses = n("result_misses");
                     rec.partial_reuses = n("partial_reuses");
                     rec.negative_hits = n("negative_hits");
-                }
-                if let Some(pf) = v.get("prefetch") {
-                    let n = |k: &str| pf.get(k).and_then(Json::as_u64).unwrap_or(0);
-                    rec.prefetch_hints = n("hints");
-                    rec.prefetch_useful = n("useful");
                 }
                 rec.dominant = dominant_op(v.get("ops").and_then(Json::as_arr).unwrap_or(&[]));
                 queries.push(rec);
@@ -1554,12 +1524,6 @@ fn report(args: &Args, out: &mut dyn Write) -> Result<(), AnyError> {
                 String::new()
             }
         )?;
-        writeln!(
-            out,
-            "prefetch (traced queries): {} hints issued, {} prefetched pages consumed",
-            sum(|q| q.prefetch_hints),
-            sum(|q| q.prefetch_useful)
-        )?;
     }
 
     if metrics_lines > 0 {
@@ -1604,18 +1568,6 @@ fn report(args: &Args, out: &mut dyn Write) -> Result<(), AnyError> {
             c("pager.hits"),
             c("pager.reads"),
             c("pager.mmap_reads")
-        )?;
-        writeln!(
-            out,
-            "  prefetch    {} useful rate ({} issued / {} useful, {} wasted, {} cancelled)",
-            rate(
-                c("pager.prefetch.useful"),
-                c("pager.prefetch.issued").saturating_sub(c("pager.prefetch.useful"))
-            ),
-            c("pager.prefetch.issued"),
-            c("pager.prefetch.useful"),
-            c("pager.prefetch.wasted"),
-            c("pager.prefetch.cancelled")
         )?;
         writeln!(
             out,
@@ -1977,13 +1929,7 @@ mod tests {
         for line in &lines {
             assert!(line.starts_with("{\"query\":\""), "{line}");
             assert!(line.ends_with('}'), "{line}");
-            for key in [
-                "\"matches\":",
-                "\"total_ns\":",
-                "\"prefetch\":{\"hints\":",
-                "\"stages\":",
-                "\"ops\":",
-            ] {
+            for key in ["\"matches\":", "\"total_ns\":", "\"stages\":", "\"ops\":"] {
                 assert!(line.contains(key), "missing {key} in {line}");
             }
         }
@@ -2159,16 +2105,21 @@ mod tests {
         assert!(lines[0].contains("matches"), "{text}");
 
         // A malformed line must not kill the long-running service: it
-        // gets an error line and the rest of its batch still runs.
-        let input = b"NP(NN)\nNP((\nS(NP)(VP)\n" as &[u8];
-        let mut reader = std::io::BufReader::new(input);
+        // gets an error line and the rest of its batch still runs. That
+        // includes a query nested 3000 deep: without the parser's depth
+        // bound it overflows the stack and aborts the process.
+        let deep = format!("S{}{}", "(NP".repeat(2999), ")".repeat(2999));
+        let input = format!("NP(NN)\nNP((\n{deep}\nS(NP)(VP)\n");
+        let mut reader = std::io::BufReader::new(input.as_bytes());
         let mut out: Vec<u8> = Vec::new();
         serve(&args, &mut reader, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "every line answered: {text}");
+        assert_eq!(lines.len(), 4, "every line answered: {text}");
+        assert!(lines[0].contains("matches"), "{text}");
         assert!(lines[1].starts_with("NP((\terror:"), "{text}");
-        assert!(lines[2].contains("matches"), "{text}");
+        assert!(lines[2].starts_with(&format!("{deep}\terror:")), "{text}");
+        assert!(lines[3].contains("matches"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2341,10 +2292,6 @@ mod tests {
         // The registry counted each of the 4 queries once, even though
         // trace + slow views record them twice.
         assert!(text.contains("service     4 queries"), "{text}");
-        // Prefetch shows up in both the per-query aggregation and the
-        // metrics-snapshot block.
-        assert!(text.contains("prefetch (traced queries):"), "{text}");
-        assert!(text.contains("  prefetch    "), "{text}");
         // The dispatcher wires `si report` up, and no files is an error.
         run(&argv(&["report", trace_file.to_str().unwrap()])).unwrap();
         assert!(run(&argv(&["report"])).is_err());

@@ -300,17 +300,6 @@ impl BlockCache {
         }
     }
 
-    /// Whether block `idx` of `key` is resident — without bumping LRU
-    /// order or the hit/miss counters. The prefetch path's peek: the
-    /// executor checks here before hinting a cover list so a warm list
-    /// costs nothing, and the probe itself must not perturb eviction
-    /// order or the hit-rate statistics.
-    pub fn contains(&self, key: &[u8], idx: u32) -> bool {
-        let bk = (Arc::<[u8]>::from(key), idx);
-        let shard = self.shard_for(&bk);
-        shard.map.contains_key(&bk)
-    }
-
     /// Inserts block `idx` of `key`, evicting LRU entries of its shard
     /// until the block fits. A block larger than the whole shard budget
     /// is not cached at all (memory stays bounded). Re-inserting an

@@ -473,29 +473,6 @@ impl SubtreeIndex {
         })
     }
 
-    /// Opens an existing index directory on the buffered (LRU) pager
-    /// even where a read-only mmap is available. Each open starts with
-    /// an empty page cache, which is what the prefetch bench's
-    /// cold-cache arm needs per repetition; production opens should
-    /// prefer [`SubtreeIndex::open`].
-    pub fn open_buffered(dir: &Path) -> Result<Self> {
-        let meta = std::fs::read(dir.join("si.meta"))?;
-        let (options, stats, skip_headers) =
-            decode_meta(&meta).ok_or_else(|| StorageError::Corrupt("si.meta".into()))?;
-        let btree = BTree::open(&dir.join("index.bt"))?;
-        let store = CorpusStore::open(&dir.join("corpus"))?;
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            options,
-            stats,
-            btree,
-            store,
-            join_algo: JoinAlgo::Mpmgjn,
-            exec_mode: ExecMode::Streaming,
-            skip_headers,
-        })
-    }
-
     /// Whether stored posting lists carry skip headers (restart-point
     /// tables). Pre-skip index files answer `false`; cursors over them
     /// never seek but return identical postings.
@@ -580,33 +557,15 @@ impl SubtreeIndex {
         ctx: &crate::exec::ExecContext<'_>,
     ) -> Result<EvalResult> {
         let before = si_storage::thread_counters();
-        let pf_before = si_storage::thread_prefetch_counters();
         let mut result = match self.exec_mode {
             ExecMode::Streaming => crate::exec::evaluate_streaming_with(self, query, ctx),
             ExecMode::Materialized => crate::eval::evaluate(self, query),
         }?;
         let after = si_storage::thread_counters();
-        let pf_after = si_storage::thread_prefetch_counters();
         result.stats.pager_hits = after.hits.saturating_sub(before.hits);
         result.stats.pager_misses = after.misses.saturating_sub(before.misses);
         result.stats.pager_evictions = after.evictions.saturating_sub(before.evictions);
-        let pf = pf_after.delta_since(&pf_before);
-        result.stats.prefetch_hints = pf.hints;
-        result.stats.prefetch_useful = pf.useful;
         Ok(result)
-    }
-
-    /// Hints the prefetcher at the leading pages of `key`'s posting
-    /// list — the storage end of plan-driven prefetch
-    /// ([`crate::exec`]). Advisory by contract: errors, absent keys and
-    /// inline values all yield `None` (nothing worth overlapping), and
-    /// dropping the ticket cancels whatever was not yet loaded.
-    pub fn prefetch_posting(
-        &self,
-        key: &[u8],
-        max_bytes: u64,
-    ) -> Option<si_storage::PrefetchTicket> {
-        self.btree.prefetch_value(key, max_bytes).ok().flatten()
     }
 
     /// Cumulative pager cache counters of the index's B+Tree file.

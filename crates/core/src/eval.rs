@@ -20,10 +20,11 @@
 //!    matcher) over candidate trees.
 //!
 //! The result of a query is the set of distinct `(tid, pre)` pairs its
-//! root maps to (DESIGN.md §5). Same-label sibling distinctness is
-//! enforced with root-level `!=` predicates (minRC patches the cover so
-//! the members are roots); a whole-tree post-validation fallback remains
-//! as a safety net and is reported via [`EvalStats::used_validation`].
+//! root maps to (the semantics of the `si_query` crate docs). Same-label
+//! sibling distinctness is enforced with root-level `!=` predicates
+//! (minRC patches the cover so the members are roots); a whole-tree
+//! post-validation fallback remains as a safety net and is reported via
+//! [`EvalStats::used_validation`].
 
 use std::collections::HashSet;
 
@@ -55,7 +56,8 @@ pub struct EvalStats {
     /// Trees materialized and matched in a validation/filtering phase.
     pub validated_trees: usize,
     /// Whether root-split fell back to post-validation (sibling-label
-    /// distinctness not expressible over roots; DESIGN.md §5).
+    /// distinctness not expressible over roots; ARCHITECTURE.md,
+    /// *Query path*).
     pub used_validation: bool,
     /// Whether the cost-based planner proved the result empty from
     /// disjoint per-key tid ranges and skipped execution entirely
@@ -123,17 +125,6 @@ pub struct EvalStats {
     /// shard the cache *knows* has no match for this query (including
     /// shards skip-pruned on an earlier run).
     pub negative_hits: u64,
-    /// Prefetch requests this evaluation submitted (plan-time cover
-    /// hints plus `ValueReader` chain lookahead; delta of the
-    /// **thread-local** counters,
-    /// [`si_storage::thread_prefetch_counters`] — exact per query, same
-    /// attribution argument as [`EvalStats::pager_hits`]).
-    pub prefetch_hints: u64,
-    /// Prefetched pages this evaluation consumed: pager hits on pages a
-    /// prefetch worker loaded before the cursor arrived (the overlap
-    /// that actually paid off; `issued - useful` process-wide is the
-    /// waste figure `si report` tracks).
-    pub prefetch_useful: u64,
 }
 
 /// Matches plus statistics.

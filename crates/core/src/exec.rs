@@ -285,47 +285,6 @@ pub fn make_feed<'a>(
     })
 }
 
-/// Leading bytes of a cover list hinted at plan time — enough to cover
-/// a list's first restart block (skip header + 1024 postings) on every
-/// coding, without flooding the prefetch queue on wide covers.
-pub(crate) const COVER_HINT_BYTES: u64 = 64 * 1024;
-
-/// Plan-driven prefetch: once the join order is fixed, hint every cover
-/// key's leading posting pages — in the order the plan will open them —
-/// so the scans' first pulls find their pages warm or in flight.
-/// `indices` selects cover subtrees (plan order for the structural
-/// path; all covers for the leapfrog intersection, whose "join order"
-/// is every stream at once). Lists whose first decoded block already
-/// sits in the block cache are skipped via a non-counting peek
-/// ([`BlockCache::contains`]): a warm list must cost nothing. The
-/// returned tickets are held for the run's duration; dropping them
-/// cancels whatever was not yet loaded.
-///
-/// Seek targets need no hint here: a leapfrog laggard's restart-block
-/// hop bottoms out in `ValueReader::skip_chunk_bytes`, which hints its
-/// own walk (see `si_storage::btree`).
-pub(crate) fn hint_cover_lists(
-    index: &SubtreeIndex,
-    cover: &Cover,
-    indices: impl Iterator<Item = usize>,
-    ctx: &ExecContext<'_>,
-) -> Vec<si_storage::PrefetchTicket> {
-    if !si_storage::prefetch_enabled() {
-        return Vec::new();
-    }
-    let mut tickets = Vec::new();
-    for i in indices {
-        let key = &cover.subtrees[i].key;
-        if ctx.cache.as_ref().is_some_and(|c| c.contains(key, 0)) {
-            continue;
-        }
-        if let Some(t) = index.prefetch_posting(key, COVER_HINT_BYTES) {
-            tickets.push(t);
-        }
-    }
-    tickets
-}
-
 /// Leaf operator: streams one cover subtree's postings — from the
 /// B+Tree via a [`PostingCursor`](crate::coding::PostingCursor), or
 /// from the decoded-block cache via
@@ -1613,10 +1572,6 @@ fn eval_filter_streaming(
         None
     };
     drop(plan_span);
-    // The leapfrog drives every cover stream at once, so its "join
-    // order" is all of them: hint each list's head before opening a
-    // single cursor.
-    let _cover_hints = hint_cover_lists(index, cover, 0..cover.subtrees.len(), ctx);
 
     let meter = MemMeter::default();
     let fetched = Rc::new(Cell::new(0usize));
@@ -1836,14 +1791,6 @@ pub fn evaluate_streaming_with(
         ctx.root_pref_factor,
     );
     drop(plan_span);
-    // The join order is now fixed: overlap the cover lists' leading
-    // reads under operator-tree construction and the first pulls.
-    let _cover_hints = hint_cover_lists(
-        index,
-        &cover,
-        std::iter::once(plan.base).chain(plan.steps.iter().map(|s| s.cover)),
-        ctx,
-    );
     let matches = run_structural(index, query, &cover, &plan, ctx, common_range, &mut stats)?;
     Ok(EvalResult { matches, stats })
 }

@@ -59,9 +59,10 @@
 //!   not already established.
 //!
 //! Predicate derivation (shared query nodes, query edges across covers,
-//! and the same-label `/`-sibling distinctness rule of DESIGN.md §5) is
-//! shared with the legacy evaluator so both executors enforce exactly
-//! the same semantics — the basis of the equivalence suite.
+//! and the same-label `/`-sibling distinctness rule of ARCHITECTURE.md,
+//! *Query path*) is shared with the legacy evaluator so both executors
+//! enforce exactly the same semantics — the basis of the equivalence
+//! suite.
 
 use si_query::{Axis, QNodeId, Query};
 
@@ -170,7 +171,7 @@ pub fn cross_stream_predicates(
         }
     }
 
-    // Same-label `/`-sibling distinctness (DESIGN.md §5).
+    // Same-label `/`-sibling distinctness (ARCHITECTURE.md, *Query path*).
     let mut needs_validation = false;
     for p in query.nodes() {
         let kids: Vec<QNodeId> = query.children_via(p, Axis::Child).collect();

@@ -452,27 +452,6 @@ impl ShardedIndex {
             });
         }
 
-        // Cross-shard overlap: hint every live shard's cover lists
-        // before a single worker starts, instead of each worker
-        // discovering its shard's lists serially when its turn comes —
-        // the laggard shards of the scatter find their leading pages
-        // already in flight. Held across the scatter; dropped at gather
-        // time, cancelling whatever no worker consumed. These hints are
-        // issued on the gather thread, so they are counted here rather
-        // than in any worker's thread-local delta.
-        let cover_hints: Vec<si_storage::PrefetchTicket> = if si_storage::prefetch_enabled() {
-            live.iter()
-                .flat_map(|&i| {
-                    cover.subtrees.iter().filter_map(move |st| {
-                        self.shards[i].prefetch_posting(&st.key, crate::exec::COVER_HINT_BYTES)
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        stats.prefetch_hints += cover_hints.len() as u64;
-
         // Scatter: evaluate live shards on a worker pool.
         let collect = timings.is_some();
         type ShardSlot = Mutex<Option<(EvalResult, Option<si_obs::TimingsSnapshot>)>>;
@@ -760,18 +739,14 @@ fn eval_one_shard(
         ..ExecContext::default()
     };
     let before = si_storage::thread_counters();
-    let pf_before = si_storage::thread_prefetch_counters();
     let mut result = match exec_mode {
         ExecMode::Streaming => crate::exec::evaluate_streaming_with(shard, query, &ctx),
         ExecMode::Materialized => crate::eval::evaluate(shard, query),
     }?;
     let after = si_storage::thread_counters();
-    let pf = si_storage::thread_prefetch_counters().delta_since(&pf_before);
     result.stats.pager_hits = after.hits.saturating_sub(before.hits);
     result.stats.pager_misses = after.misses.saturating_sub(before.misses);
     result.stats.pager_evictions = after.evictions.saturating_sub(before.evictions);
-    result.stats.prefetch_hints = pf.hints;
-    result.stats.prefetch_useful = pf.useful;
     Ok((result, timings.map(|t| t.snapshot())))
 }
 
@@ -798,8 +773,6 @@ pub fn merge_shard_stats(agg: &mut EvalStats, shard: &EvalStats) {
     agg.result_misses += shard.result_misses;
     agg.partial_reuses += shard.partial_reuses;
     agg.negative_hits += shard.negative_hits;
-    agg.prefetch_hints += shard.prefetch_hints;
-    agg.prefetch_useful += shard.prefetch_useful;
 }
 
 /// A monolithic or sharded index behind one seam — how the CLI (and any

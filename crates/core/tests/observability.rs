@@ -96,44 +96,6 @@ fn instrumented_runs_answer_identically_and_stages_account_for_time() {
     }
 }
 
-/// Plan-driven prefetch is observable (`prefetch_hints` counted per
-/// query, exactly zero when the process-wide switch is off) and changes
-/// no answers — the unit-level half of the bench's divergence gate.
-#[test]
-fn prefetch_hints_are_counted_and_change_no_answers() {
-    let (index, queries, dir) = fixture(Coding::SubtreeInterval, "prefetch");
-    // Reopen so the evaluations start from a cold page cache and the
-    // cover hints have pages left to request.
-    drop(index);
-    let index = SubtreeIndex::open(&dir).unwrap();
-    let mut total_hints = 0u64;
-    let baseline: Vec<_> = queries
-        .iter()
-        .map(|q| {
-            let r = index.evaluate_with(q, &ExecContext::default()).unwrap();
-            total_hints += r.stats.prefetch_hints;
-            r.matches
-        })
-        .collect();
-    assert!(
-        total_hints > 0,
-        "no prefetch hints issued across the whole suite"
-    );
-    si_storage::set_prefetch_enabled(false);
-    let off: Vec<_> = queries
-        .iter()
-        .map(|q| {
-            let r = index.evaluate_with(q, &ExecContext::default()).unwrap();
-            assert_eq!(r.stats.prefetch_hints, 0, "hints while disabled");
-            assert_eq!(r.stats.prefetch_useful, 0, "useful while disabled");
-            r.matches
-        })
-        .collect();
-    si_storage::set_prefetch_enabled(true);
-    assert_eq!(baseline, off, "prefetch changed answers");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A disabled `Timings` records nothing and changes nothing.
 #[test]
 fn disabled_timings_are_inert() {
@@ -230,8 +192,6 @@ fn merge_shard_stats_covers_every_field() {
         result_misses: 89,
         partial_reuses: 97,
         negative_hits: 101,
-        prefetch_hints: 127,
-        prefetch_useful: 131,
     };
     let b = EvalStats {
         covers: 5,
@@ -256,8 +216,6 @@ fn merge_shard_stats_covers_every_field() {
         result_misses: 107,
         partial_reuses: 109,
         negative_hits: 113,
-        prefetch_hints: 137,
-        prefetch_useful: 139,
     };
     let mut agg = a;
     merge_shard_stats(&mut agg, &b);
@@ -290,8 +248,6 @@ fn merge_shard_stats_covers_every_field() {
     assert_eq!(agg.result_misses, a.result_misses + b.result_misses);
     assert_eq!(agg.partial_reuses, a.partial_reuses + b.partial_reuses);
     assert_eq!(agg.negative_hits, a.negative_hits + b.negative_hits);
-    assert_eq!(agg.prefetch_hints, a.prefetch_hints + b.prefetch_hints);
-    assert_eq!(agg.prefetch_useful, a.prefetch_useful + b.prefetch_useful);
     // ORed flags; per-shard maximum.
     assert!(agg.used_validation && agg.range_pruned);
     assert_eq!(

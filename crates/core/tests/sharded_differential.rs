@@ -385,6 +385,21 @@ fn any_index_opens_both_layouts() {
     assert!(matches!(sharded, AnyIndex::Sharded(_)));
     assert_eq!(mono.num_shards(), 1);
     assert_eq!(sharded.num_shards(), 2);
+    // Every production open reads `index.bt` through mmap, so the OS
+    // page cache is the only page cache a query sees.
+    #[cfg(unix)]
+    {
+        assert!(SubtreeIndex::open(&mono_dir).unwrap().is_mapped());
+        let shards = ShardedIndex::open(&shard_dir).unwrap();
+        assert!(shards.shards().iter().all(|s| s.is_mapped()));
+        for any in [&mono, &sharded] {
+            let mapped = match any {
+                AnyIndex::Mono(ix) => ix.is_mapped(),
+                AnyIndex::Sharded(sh) => sh.shards().iter().all(|s| s.is_mapped()),
+            };
+            assert!(mapped, "AnyIndex::open fell back to the buffered pager");
+        }
+    }
     let mut qi = mono.interner();
     let q = parse_query("S(NP)(VP)", &mut qi).unwrap();
     let ctx = si_core::ExecContext::default();

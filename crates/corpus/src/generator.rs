@@ -1,8 +1,7 @@
 //! Seeded PCFG treebank generator over the Penn Treebank tag set.
 //!
 //! Substitute for the paper's dataset (AQUAINT news parsed with the
-//! Stanford parser); DESIGN.md §4 documents why this preserves the
-//! behaviour the experiments depend on. The grammar is hand-tuned so the
+//! Stanford parser). The grammar is hand-tuned so the
 //! generated corpora reproduce the structural statistics §4.1 reports:
 //!
 //! * average internal branching factor ≈ 1.5 (many unary chains);

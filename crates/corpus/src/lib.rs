@@ -1,7 +1,7 @@
 //! Synthetic treebank generation and query-set construction.
 //!
 //! Substitutes for the paper's data pipeline (AQUAINT English news parsed
-//! with the Stanford parser — see DESIGN.md §4): a seeded PCFG over the
+//! with the Stanford parser): a seeded PCFG over the
 //! Penn Treebank tag set produces corpora whose structural statistics
 //! match what §4.1 of the paper reports, and the two query workloads of
 //! §6.1 (the WH query-set and the FB query-set) are constructed by the

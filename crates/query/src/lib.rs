@@ -21,7 +21,7 @@
 //! distinct data nodes (an occurrence of an index key is a real subtree,
 //! whose sibling branches are distinct nodes); `//`-children are
 //! unconstrained. This is exactly the semantics the Subtree Index's join
-//! phase produces, so all engines agree; see DESIGN.md §5.
+//! phase produces, so all engines agree.
 
 pub mod matcher;
 pub mod model;
@@ -29,4 +29,4 @@ pub mod parser;
 
 pub use matcher::{count_matches, match_roots, matches_at};
 pub use model::{Axis, QNodeId, Query, QueryBuilder};
-pub use parser::{parse_query, write_query, QueryParseError};
+pub use parser::{parse_query, write_query, QueryParseError, MAX_QUERY_DEPTH};

@@ -16,6 +16,12 @@ use si_parsetree::LabelInterner;
 
 use crate::model::{Axis, QNodeId, Query, QueryBuilder};
 
+/// Deepest query tree [`parse_query`] accepts, counted in nodes from the
+/// root. Parsing, decomposition and matching all recurse once per level,
+/// so an unbounded depth lets one hostile line overflow the stack. No
+/// generated or benchmark query comes near this.
+pub const MAX_QUERY_DEPTH: usize = 256;
+
 /// Errors from [`parse_query`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryParseError {
@@ -27,6 +33,9 @@ pub enum QueryParseError {
     MissingLabel(usize),
     /// Trailing input after the query tree.
     Trailing(usize),
+    /// The node starting at this byte offset nests deeper than
+    /// [`MAX_QUERY_DEPTH`].
+    TooDeep(usize),
 }
 
 impl std::fmt::Display for QueryParseError {
@@ -38,6 +47,10 @@ impl std::fmt::Display for QueryParseError {
             }
             QueryParseError::MissingLabel(pos) => write!(f, "expected a label at byte {pos}"),
             QueryParseError::Trailing(pos) => write!(f, "trailing input at byte {pos}"),
+            QueryParseError::TooDeep(pos) => write!(
+                f,
+                "query nests deeper than {MAX_QUERY_DEPTH} levels at byte {pos}"
+            ),
         }
     }
 }
@@ -49,6 +62,7 @@ pub fn parse_query(input: &str, interner: &mut LabelInterner) -> Result<Query, Q
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let mut b = QueryBuilder::new();
     p.skip_ws();
@@ -82,6 +96,8 @@ fn write_node(query: &Query, n: QNodeId, interner: &LabelInterner, out: &mut Str
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Nodes open on the recursion stack, the one being parsed included.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -110,6 +126,10 @@ impl Parser<'_> {
         interner: &mut LabelInterner,
     ) -> Result<(), QueryParseError> {
         self.skip_ws();
+        if self.depth == MAX_QUERY_DEPTH {
+            return Err(QueryParseError::TooDeep(self.pos));
+        }
+        self.depth += 1;
         let label = self
             .label()
             .map(|t| interner.intern(t))
@@ -139,6 +159,7 @@ impl Parser<'_> {
                 }
                 _ => {
                     b.close();
+                    self.depth -= 1;
                     return Ok(());
                 }
             }
@@ -227,6 +248,21 @@ mod tests {
         assert!(matches!(
             parse_query("A(B))", &mut li),
             Err(QueryParseError::Trailing(_))
+        ));
+        // A chain of exactly MAX_QUERY_DEPTH nodes parses; one more
+        // level is rejected at the offending node, not by the stack.
+        let chain = |depth: usize| "A(".repeat(depth - 1) + "A" + &")".repeat(depth - 1);
+        assert_eq!(
+            parse_query(&chain(MAX_QUERY_DEPTH), &mut li).unwrap().len(),
+            MAX_QUERY_DEPTH
+        );
+        assert_eq!(
+            parse_query(&chain(MAX_QUERY_DEPTH + 1), &mut li),
+            Err(QueryParseError::TooDeep(2 * MAX_QUERY_DEPTH))
+        );
+        assert!(matches!(
+            parse_query(&chain(3000), &mut li),
+            Err(QueryParseError::TooDeep(_))
         ));
     }
 }

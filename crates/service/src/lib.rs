@@ -338,11 +338,6 @@ impl ServiceMetrics {
     }
 }
 
-/// Leading bytes hinted per cover of a batch's *next* query (see
-/// [`QueryService::run_batch`]) — matches the executor's own plan-time
-/// cover hint depth.
-const NEXT_QUERY_HINT_BYTES: u64 = 64 * 1024;
-
 /// Mirrors the process-wide pager totals
 /// ([`si_storage::process_counters`]) into `registry` under the
 /// `pager.*` names: `reads` are physical page reads (cache misses),
@@ -353,18 +348,6 @@ pub fn register_pager_metrics(registry: &Registry) {
     registry.counter("pager.reads").set(p.misses);
     registry.counter("pager.evictions").set(p.evictions);
     registry.counter("pager.mmap_reads").set(p.mmap_reads);
-    registry
-        .counter("pager.prefetch.issued")
-        .set(p.prefetch_issued);
-    registry
-        .counter("pager.prefetch.useful")
-        .set(p.prefetch_useful);
-    registry
-        .counter("pager.prefetch.wasted")
-        .set(p.prefetch_wasted);
-    registry
-        .counter("pager.prefetch.cancelled")
-        .set(p.prefetch_cancelled);
 }
 
 struct PoolEntry {
@@ -577,30 +560,6 @@ impl QueryService {
     /// every batch this service has run.
     pub fn latency_summary(&self) -> HistogramSummary {
         self.latency.summary()
-    }
-
-    /// Batch-mode lookahead: while a worker drains its current query,
-    /// hint the covers of the query it will pick **next**, so that
-    /// query's leading posting pages arrive under the current drain.
-    /// Covers whose first decoded block is already cached are skipped
-    /// (warm queries cost one non-counting peek). Tickets are detached:
-    /// the beneficiary is a future stack frame, so the requests run to
-    /// completion on their own — bounded by the prefetcher's
-    /// process-wide queue cap rather than this frame's lifetime.
-    fn hint_next_query(&self, query: &Query) {
-        if !si_storage::prefetch_enabled() {
-            return;
-        }
-        let options = self.index.options();
-        let cover = decompose(query, options.mss, options.coding);
-        for st in &cover.subtrees {
-            if self.cache.contains(&st.key, 0) {
-                continue;
-            }
-            if let Some(t) = self.index.prefetch_posting(&st.key, NEXT_QUERY_HINT_BYTES) {
-                t.detach();
-            }
-        }
     }
 
     /// Admits a freshly decoded shared vector into the cross-batch pool
@@ -846,14 +805,6 @@ impl QueryService {
                         if collect_metrics {
                             self.metrics.queue_depth.add(-1);
                             self.metrics.workers_busy.add(1);
-                        }
-                        // Cross-query overlap: hint the covers of a
-                        // query one pool-width ahead, so its leading
-                        // pages load while this one drains. Each miss
-                        // index ≥ `threads` is hinted exactly once;
-                        // the first wave starts immediately anyway.
-                        if let Some(&ni) = miss.get(j + threads) {
-                            self.hint_next_query(&queries[ni]);
                         }
                         let query = &queries[qi];
                         let q_started = Instant::now();

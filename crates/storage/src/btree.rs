@@ -614,28 +614,6 @@ impl BTree {
         Ok(self.lookup(key)?.is_some())
     }
 
-    /// Hints the prefetcher at the first `max_bytes` of `key`'s value,
-    /// so a cursor opened over it shortly finds its leading pages warm
-    /// — the storage end of plan-driven prefetch (the executor hints
-    /// every cover key once the join order is fixed). Costs one tree
-    /// descent on the calling thread; inline and absent values return
-    /// `None` (nothing to overlap). Dropping the ticket cancels the
-    /// remainder.
-    pub fn prefetch_value(
-        &self,
-        key: &[u8],
-        max_bytes: u64,
-    ) -> Result<Option<crate::prefetch::PrefetchTicket>> {
-        match self.lookup(key)? {
-            Some(ValueRef::Overflow { first, len }) => {
-                let take = len.min(max_bytes).max(1);
-                let pages = take.div_ceil(OVERFLOW_CAP as u64).min(u64::from(u32::MAX)) as u32;
-                Ok(self.pager.prefetch_chain(first, pages))
-            }
-            _ => Ok(None),
-        }
-    }
-
     /// Whether this file carries a stats segment (see the module docs).
     pub fn has_stats_segment(&self) -> bool {
         self.meta.stats_head != NIL
@@ -1027,23 +1005,17 @@ impl BTree {
     /// [`BTree::value_reader`] and [`Iter`].
     fn reader_for(&self, val: ValueRef) -> ValueReader<'_> {
         let total = val.len();
-        let mut lookahead = None;
         let state = match val {
             ValueRef::Inline(v) => ReaderState::Inline(v),
-            ValueRef::Overflow { first, .. } => {
-                lookahead = self.pager.prefetch_chain(first, CHAIN_LOOKAHEAD_PAGES);
-                ReaderState::Chain {
-                    next: first,
-                    delivered: 0,
-                }
-            }
+            ValueRef::Overflow { first, .. } => ReaderState::Chain {
+                next: first,
+                delivered: 0,
+            },
         };
         ValueReader {
             tree: self,
             total,
             state,
-            lookahead,
-            chunks_since_hint: 0,
         }
     }
 
@@ -1184,35 +1156,15 @@ enum ReaderState {
     Done,
 }
 
-/// Chain pages a reader keeps requested ahead of its own position (the
-/// read/decode pipeline depth: ~64 KiB of postings in flight while the
-/// consumer decodes).
-const CHAIN_LOOKAHEAD_PAGES: u32 = 16;
-/// Chunks consumed between lookahead refreshes. Re-hinting from the
-/// current position overlaps the tail of the previous window — cheap,
-/// because the worker follows already-cached links without I/O.
-const CHAIN_REHINT_INTERVAL: u32 = 8;
-
 /// A streaming cursor over one stored value (see
 /// [`BTree::value_reader`]). Each [`ValueReader::read_chunk`] call pulls
 /// at most one page's payload through the pager, so a consumer that
 /// processes chunks incrementally holds O(pages in flight) bytes even
 /// for multi-megabyte overflow chains.
-///
-/// # Lookahead
-///
-/// A reader over an overflow chain keeps a rolling prefetch window
-/// ahead of itself: on open, and every `CHAIN_REHINT_INTERVAL`
-/// chunks, it hints the next `CHAIN_LOOKAHEAD_PAGES` links of its own
-/// chain to the [prefetcher](crate::prefetch), so chunk N+1 is in
-/// flight while chunk N decodes. Dropping the reader drops the ticket,
-/// cancelling whatever was not yet loaded.
 pub struct ValueReader<'a> {
     tree: &'a BTree,
     total: u64,
     state: ReaderState,
-    lookahead: Option<crate::prefetch::PrefetchTicket>,
-    chunks_since_hint: u32,
 }
 
 impl ValueReader<'_> {
@@ -1257,7 +1209,6 @@ impl ValueReader<'_> {
                     next: succ,
                     delivered: delivered + len as u64,
                 };
-                self.roll_lookahead(succ);
                 Ok(len)
             }
             ReaderState::Chain { next, delivered } => {
@@ -1297,27 +1248,7 @@ impl ValueReader<'_> {
                     next: succ,
                     delivered: delivered + len as u64,
                 };
-                self.roll_lookahead(succ);
                 Ok(len)
-            }
-        }
-    }
-
-    /// Keeps the prefetch window rolling ahead of the cursor: every
-    /// [`CHAIN_REHINT_INTERVAL`] consumed chunks, re-hint the next
-    /// [`CHAIN_LOOKAHEAD_PAGES`] links starting at the cursor's current
-    /// chain position. Replacing the ticket drops (cancels) the old
-    /// one, which by now has either completed or fallen behind.
-    fn roll_lookahead(&mut self, from: PageId) {
-        if from == NIL {
-            self.lookahead = None;
-            return;
-        }
-        self.chunks_since_hint += 1;
-        if self.chunks_since_hint >= CHAIN_REHINT_INTERVAL {
-            self.chunks_since_hint = 0;
-            if let Some(ticket) = self.tree.pager.prefetch_chain(from, CHAIN_LOOKAHEAD_PAGES) {
-                self.lookahead = Some(ticket);
             }
         }
     }
@@ -1330,16 +1261,6 @@ impl ValueReader<'_> {
     /// posting-list seek: hopping an overflow chain reads each page
     /// header but never materializes the payload.
     pub fn skip_chunk_bytes(&mut self, mut n: u64) -> Result<u64> {
-        // A long hop is its own scan of page headers: hint the walk so
-        // the worker's batched reads stay ahead of it.
-        if n as usize >= 4 * OVERFLOW_CAP {
-            if let ReaderState::Chain { next, .. } = self.state {
-                let pages = (n / OVERFLOW_CAP as u64 + 2).min(64) as u32;
-                if let Some(ticket) = self.tree.pager.prefetch_chain(next, pages) {
-                    self.lookahead = Some(ticket);
-                }
-            }
-        }
         let mut skipped = 0u64;
         loop {
             match std::mem::replace(&mut self.state, ReaderState::Done) {

@@ -20,15 +20,13 @@ pub mod btree;
 pub mod datafile;
 pub mod error;
 pub mod pager;
-pub mod prefetch;
 pub mod shard;
 
 pub use btree::{BTree, BTreeStats, KeyStats, ValueReader, TID_HIST_BUCKETS};
 pub use datafile::CorpusStore;
 pub use error::{Result, StorageError};
 pub use pager::{
-    process_counters, thread_counters, thread_prefetch_counters, PageId, Pager, PagerCounters,
-    ProcessPagerCounters, ThreadPrefetchCounters, PAGE_SIZE,
+    process_counters, thread_counters, PageId, Pager, PagerCounters, ProcessPagerCounters,
+    PAGE_SIZE,
 };
-pub use prefetch::{prefetch_enabled, set_prefetch_enabled, PrefetchTicket};
 pub use shard::{ShardEntry, ShardManifest, MANIFEST_FILE};

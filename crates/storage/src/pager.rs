@@ -54,10 +54,6 @@ struct CacheSlot {
     page: PageId,
     buf: PageBuf,
     dirty: bool,
-    /// Loaded by the prefetcher and not yet consumed by a real read.
-    /// The first hit clears it (and counts as a *useful* prefetch);
-    /// eviction while still set counts as a *wasted* one.
-    prefetched: bool,
     prev: usize,
     next: usize,
 }
@@ -125,25 +121,15 @@ impl Lru {
         Some(i)
     }
 
-    /// Slot index of `page` without touching LRU order — used by the
-    /// prefetcher, whose probes must not perturb recency.
-    fn peek(&self, page: PageId) -> Option<usize> {
-        self.map.get(&page).copied()
-    }
-
     /// Inserts a slot for `page`, evicting the LRU slot if full.
-    /// Returns `(slot_index, evicted, evicted_prefetched)` where
-    /// `evicted` is the page and buffer of a dirty evictee that must be
-    /// written back, and `evicted_prefetched` reports whether the
-    /// recycled slot still carried an unconsumed prefetch (a *wasted*
-    /// prefetch, clean or dirty).
+    /// Returns `(slot_index, evicted)` where `evicted` is the page and
+    /// buffer of a dirty evictee that must be written back.
     fn insert(
         &mut self,
         page: PageId,
         buf: PageBuf,
         dirty: bool,
-        prefetched: bool,
-    ) -> (usize, Option<(PageId, PageBuf)>, bool) {
+    ) -> (usize, Option<(PageId, PageBuf)>) {
         debug_assert!(!self.map.contains_key(&page));
         if self.slots.len() < self.capacity {
             let i = self.slots.len();
@@ -151,13 +137,12 @@ impl Lru {
                 page,
                 buf,
                 dirty,
-                prefetched,
                 prev: NIL,
                 next: NIL,
             });
             self.push_front(i);
             self.map.insert(page, i);
-            return (i, None, false);
+            return (i, None);
         }
         // Reuse the tail slot.
         let i = self.tail;
@@ -165,16 +150,14 @@ impl Lru {
         let slot = &mut self.slots[i];
         let old_page = slot.page;
         let was_dirty = slot.dirty;
-        let was_prefetched = slot.prefetched;
         let old_buf = std::mem::replace(&mut slot.buf, buf);
         slot.page = page;
         slot.dirty = dirty;
-        slot.prefetched = prefetched;
         self.map.remove(&old_page);
         self.map.insert(page, i);
         self.push_front(i);
         let evicted = was_dirty.then_some((old_page, old_buf));
-        (i, evicted, was_prefetched)
+        (i, evicted)
     }
 }
 
@@ -219,27 +202,19 @@ pub struct ProcessPagerCounters {
     pub evictions: u64,
     /// Reads served zero-copy from a read-only mmap.
     pub mmap_reads: u64,
-    /// Pages loaded (or mmap-touched) ahead of a consumer by the
-    /// prefetcher's workers.
+    /// Always 0. The prefetch scheduler that counted pages loaded ahead
+    /// of a reader is gone: every production read goes through mmap,
+    /// where the OS page cache is the only cache. Kept because the
+    /// repository benchmark (`perfbench`) still reads it.
     pub prefetch_issued: u64,
-    /// Prefetched pages later consumed by a real read (first hit on a
-    /// still-flagged slot).
+    /// Always 0, for the same reason as `prefetch_issued`.
     pub prefetch_useful: u64,
-    /// Prefetched pages evicted before any consumer read them.
-    pub prefetch_wasted: u64,
-    /// Prefetch requests abandoned: ticket dropped, cap-rejected at
-    /// submit, or their pager closed before the worker got there.
-    pub prefetch_cancelled: u64,
 }
 
 static PROCESS_HITS: AtomicU64 = AtomicU64::new(0);
 static PROCESS_MISSES: AtomicU64 = AtomicU64::new(0);
 static PROCESS_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 static PROCESS_MMAP_READS: AtomicU64 = AtomicU64::new(0);
-static PROCESS_PREFETCH_ISSUED: AtomicU64 = AtomicU64::new(0);
-static PROCESS_PREFETCH_USEFUL: AtomicU64 = AtomicU64::new(0);
-static PROCESS_PREFETCH_WASTED: AtomicU64 = AtomicU64::new(0);
-static PROCESS_PREFETCH_CANCELLED: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide pager traffic totals, monotone since process start and
 /// aggregated across all pagers (and all threads). Scrape-and-mirror
@@ -251,86 +226,8 @@ pub fn process_counters() -> ProcessPagerCounters {
         misses: PROCESS_MISSES.load(Ordering::Relaxed),
         evictions: PROCESS_EVICTIONS.load(Ordering::Relaxed),
         mmap_reads: PROCESS_MMAP_READS.load(Ordering::Relaxed),
-        prefetch_issued: PROCESS_PREFETCH_ISSUED.load(Ordering::Relaxed),
-        prefetch_useful: PROCESS_PREFETCH_USEFUL.load(Ordering::Relaxed),
-        prefetch_wasted: PROCESS_PREFETCH_WASTED.load(Ordering::Relaxed),
-        prefetch_cancelled: PROCESS_PREFETCH_CANCELLED.load(Ordering::Relaxed),
+        ..ProcessPagerCounters::default()
     }
-}
-
-/// Bumps the worker-side *issued* total (pages actually loaded or
-/// touched ahead of a consumer). Worker threads only.
-pub(crate) fn bump_prefetch_issued(n: u64) {
-    if n > 0 {
-        PROCESS_PREFETCH_ISSUED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Bumps the *cancelled* total (requests abandoned before completion).
-pub(crate) fn bump_prefetch_cancelled(n: u64) {
-    if n > 0 {
-        PROCESS_PREFETCH_CANCELLED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Prefetch activity attributable to the **calling thread**: `hints`
-/// counts requests this thread submitted, `useful` counts prefetched
-/// pages this thread's reads consumed. Like [`thread_counters`], deltas
-/// are exact for single-threaded query execution — hints are submitted
-/// on the query thread, and a useful prefetch is observed at the hit,
-/// which also happens on the query thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThreadPrefetchCounters {
-    /// Prefetch requests submitted by this thread.
-    pub hints: u64,
-    /// Prefetched pages consumed by this thread's reads.
-    pub useful: u64,
-}
-
-impl ThreadPrefetchCounters {
-    /// Field-wise `self - earlier`, saturating.
-    pub fn delta_since(&self, earlier: &ThreadPrefetchCounters) -> ThreadPrefetchCounters {
-        ThreadPrefetchCounters {
-            hints: self.hints.saturating_sub(earlier.hints),
-            useful: self.useful.saturating_sub(earlier.useful),
-        }
-    }
-}
-
-thread_local! {
-    static THREAD_PREFETCH: std::cell::Cell<ThreadPrefetchCounters> =
-        const { std::cell::Cell::new(ThreadPrefetchCounters { hints: 0, useful: 0 }) };
-}
-
-/// Bumps the calling thread's submitted-hint count (no process-wide
-/// mirror: process totals track worker-side pages, not requests).
-pub(crate) fn bump_prefetch_hint_local() {
-    THREAD_PREFETCH.with(|c| {
-        let mut v = c.get();
-        v.hints += 1;
-        c.set(v);
-    });
-}
-
-fn bump_prefetch_useful_local() {
-    PROCESS_PREFETCH_USEFUL.fetch_add(1, Ordering::Relaxed);
-    THREAD_PREFETCH.with(|c| {
-        let mut v = c.get();
-        v.useful += 1;
-        c.set(v);
-    });
-}
-
-fn bump_prefetch_wasted(n: u64) {
-    if n > 0 {
-        PROCESS_PREFETCH_WASTED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of the calling thread's prefetch attribution counters,
-/// monotone since thread start (see [`ThreadPrefetchCounters`]).
-pub fn thread_prefetch_counters() -> ThreadPrefetchCounters {
-    THREAD_PREFETCH.with(|c| c.get())
 }
 
 thread_local! {
@@ -419,47 +316,6 @@ impl PageFile {
     fn write_page(&self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
         use std::os::unix::fs::FileExt;
         self.file.write_all_at(buf, id as u64 * PAGE_SIZE as u64)?;
-        Ok(())
-    }
-
-    /// Reads `buf.len() / PAGE_SIZE` consecutive pages starting at
-    /// `start` in **one** positioned read — the prefetcher's batching
-    /// primitive (one syscall where the consumer would issue one per
-    /// page). Bytes past end of file read as zeroes, like `read_page`.
-    #[cfg(unix)]
-    fn read_span(&self, start: PageId, buf: &mut [u8]) -> Result<()> {
-        use std::os::unix::fs::FileExt;
-        debug_assert_eq!(buf.len() % PAGE_SIZE, 0);
-        let base = start as u64 * PAGE_SIZE as u64;
-        let mut read = 0;
-        while read < buf.len() {
-            match self.file.read_at(&mut buf[read..], base + read as u64) {
-                Ok(0) => break,
-                Ok(n) => read += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        buf[read..].fill(0);
-        Ok(())
-    }
-
-    #[cfg(not(unix))]
-    fn read_span(&self, start: PageId, buf: &mut [u8]) -> Result<()> {
-        use std::io::{Read, Seek, SeekFrom};
-        debug_assert_eq!(buf.len() % PAGE_SIZE, 0);
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.seek(SeekFrom::Start(start as u64 * PAGE_SIZE as u64))?;
-        let mut read = 0;
-        while read < buf.len() {
-            match file.read(&mut buf[read..]) {
-                Ok(0) => break,
-                Ok(n) => read += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        buf[read..].fill(0);
         Ok(())
     }
 
@@ -607,12 +463,21 @@ mod mapped {
     }
 }
 
-/// The shared state behind a [`Pager`]. Lives in an `Arc` so the
-/// prefetcher's worker threads can hold `Weak` references: a request
-/// whose pager has been dropped simply fails to upgrade and is counted
-/// cancelled — closing an index implicitly cancels its outstanding
-/// prefetches without any explicit unregistration.
-pub(crate) struct PagerInner {
+/// A file of fixed-size pages with a sharded write-back LRU cache.
+///
+/// Thread-safe: each cache shard sits behind its own mutex and file I/O
+/// is positioned, so concurrent readers of different pages proceed in
+/// parallel (see the module docs).
+///
+/// # Read-only mmap mode
+///
+/// [`Pager::open_readonly`] maps the whole file instead of buffering
+/// pages: every read is served as a borrowed slice of the mapping with
+/// **no shard latch and no copy**, mutations are rejected, and flush is
+/// a no-op. Reads under the map count as cache hits (the OS page cache
+/// is the cache). Any mapping failure falls back to the buffered pager
+/// transparently.
+pub struct Pager {
     file: PageFile,
     map: Option<mapped::MappedFile>,
     page_count: AtomicU32,
@@ -623,7 +488,7 @@ pub(crate) struct PagerInner {
     evictions: AtomicU64,
 }
 
-impl PagerInner {
+impl Pager {
     fn with_file(file: File, page_count: u32, cache_pages: usize) -> Self {
         let cache_pages = cache_pages.max(1);
         let n_shards = (cache_pages / PAGES_PER_SHARD).clamp(1, MAX_SHARDS);
@@ -813,10 +678,8 @@ impl PagerInner {
         if let Some(slot) = shard.get(id) {
             shard.slots[slot].buf.fill(0);
             shard.slots[slot].dirty = true;
-            shard.slots[slot].prefetched = false;
         } else {
-            let (_, evicted, was_prefetched) = shard.insert(id, new_page_buf(), true, false);
-            bump_prefetch_wasted(was_prefetched as u64);
+            let (_, evicted) = shard.insert(id, new_page_buf(), true);
             self.write_back(evicted)?;
         }
         drop(shard);
@@ -834,10 +697,6 @@ impl PagerInner {
         }
         let mut shard = self.shard(id);
         if let Some(slot) = shard.get(id) {
-            if shard.slots[slot].prefetched {
-                shard.slots[slot].prefetched = false;
-                bump_prefetch_useful_local();
-            }
             out.copy_from_slice(&shard.slots[slot].buf[..]);
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             bump_thread(1, 0, 0);
@@ -850,8 +709,7 @@ impl PagerInner {
         self.physical_reads.fetch_add(1, Ordering::Relaxed);
         bump_thread(0, 1, 0);
         out.copy_from_slice(&buf[..]);
-        let (_, evicted, was_prefetched) = shard.insert(id, buf, false, false);
-        bump_prefetch_wasted(was_prefetched as u64);
+        let (_, evicted) = shard.insert(id, buf, false);
         self.write_back(evicted)
     }
 
@@ -880,10 +738,6 @@ impl PagerInner {
         }
         let mut shard = self.shard(id);
         if let Some(slot) = shard.get(id) {
-            if shard.slots[slot].prefetched {
-                shard.slots[slot].prefetched = false;
-                bump_prefetch_useful_local();
-            }
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             bump_thread(1, 0, 0);
             return Ok(f(&shard.slots[slot].buf));
@@ -894,8 +748,7 @@ impl PagerInner {
         self.file.read_page(id, &mut buf)?;
         self.physical_reads.fetch_add(1, Ordering::Relaxed);
         bump_thread(0, 1, 0);
-        let (slot, evicted, was_prefetched) = shard.insert(id, buf, false, false);
-        bump_prefetch_wasted(was_prefetched as u64);
+        let (slot, evicted) = shard.insert(id, buf, false);
         let out = f(&shard.slots[slot].buf);
         self.write_back(evicted)?;
         Ok(out)
@@ -913,13 +766,11 @@ impl PagerInner {
         if let Some(slot) = shard.get(id) {
             shard.slots[slot].buf.copy_from_slice(data);
             shard.slots[slot].dirty = true;
-            shard.slots[slot].prefetched = false;
             return Ok(());
         }
         let mut buf = new_page_buf();
         buf.copy_from_slice(data);
-        let (_, evicted, was_prefetched) = shard.insert(id, buf, true, false);
-        bump_prefetch_wasted(was_prefetched as u64);
+        let (_, evicted) = shard.insert(id, buf, true);
         self.write_back(evicted)
     }
 
@@ -954,249 +805,7 @@ impl PagerInner {
     pub fn size_bytes(&self) -> u64 {
         self.page_count() as u64 * PAGE_SIZE as u64
     }
-
-    // ---- prefetch-worker surface (no hit/miss accounting) ----
-    //
-    // These run on prefetcher worker threads. They deliberately bypass
-    // the hit/miss/eviction counters: a speculative load is not a cache
-    // miss the consumer suffered, and a probe must not perturb LRU
-    // recency. Their traffic is accounted under `prefetch.*` instead.
-
-    /// First 8 bytes of `id`'s cached copy, if resident — enough for a
-    /// chain walker to follow an overflow link without I/O. Does not
-    /// touch LRU order or any counter.
-    pub(crate) fn cached_page_header(&self, id: PageId) -> Option<[u8; 8]> {
-        let shard = self.shard(id);
-        let slot = shard.peek(id)?;
-        Some(
-            shard.slots[slot].buf[..8]
-                .try_into()
-                .expect("8-byte header"),
-        )
-    }
-
-    /// Reads consecutive pages starting at `start` in one positioned
-    /// read, without counting a miss (see `PageFile::read_span`).
-    pub(crate) fn read_span_raw(&self, start: PageId, buf: &mut [u8]) -> Result<()> {
-        self.file.read_span(start, buf)
-    }
-
-    /// Inserts a speculatively read page into the cache, flagged
-    /// `prefetched`. Returns `false` (and drops the bytes) if the page
-    /// is already resident — a concurrent consumer beat the worker to
-    /// it, which must not clobber a dirtied copy or reset its flag.
-    pub(crate) fn insert_prefetched(&self, id: PageId, page: &[u8; PAGE_SIZE]) -> Result<bool> {
-        if id >= self.page_count() {
-            return Ok(false);
-        }
-        let mut shard = self.shard(id);
-        if shard.peek(id).is_some() {
-            return Ok(false);
-        }
-        let mut buf = new_page_buf();
-        buf.copy_from_slice(page);
-        let (_, evicted, was_prefetched) = shard.insert(id, buf, false, true);
-        bump_prefetch_wasted(was_prefetched as u64);
-        self.write_back(evicted)?;
-        Ok(true)
-    }
-
-    /// Borrow of page `id` in the read-only mapping, if this pager is
-    /// mapped and the id is in range. No counters (unlike the consumer
-    /// path through `mapped_page`): used for madvise-style touch reads.
-    pub(crate) fn peek_mapped(&self, id: PageId) -> Option<&[u8]> {
-        let map = self.map.as_ref()?;
-        if id >= self.page_count() {
-            return None;
-        }
-        let off = id as usize * PAGE_SIZE;
-        Some(&map.as_slice()[off..off + PAGE_SIZE])
-    }
 }
-
-/// A file of fixed-size pages with a sharded write-back LRU cache.
-///
-/// Thread-safe: each cache shard sits behind its own mutex and file I/O
-/// is positioned, so concurrent readers of different pages proceed in
-/// parallel (see the module docs). The state lives behind an `Arc` so
-/// the [prefetcher](crate::prefetch) can reference it weakly from its
-/// worker pool; the handle itself stays single-owner.
-///
-/// # Read-only mmap mode
-///
-/// [`Pager::open_readonly`] maps the whole file instead of buffering
-/// pages: every read is served as a borrowed slice of the mapping with
-/// **no shard latch and no copy**, mutations are rejected, and flush is
-/// a no-op. Reads under the map count as cache hits (the OS page cache
-/// is the cache). Any mapping failure falls back to the buffered pager
-/// transparently.
-pub struct Pager {
-    inner: std::sync::Arc<PagerInner>,
-}
-
-impl Pager {
-    fn from_inner(inner: PagerInner) -> Self {
-        Self {
-            inner: std::sync::Arc::new(inner),
-        }
-    }
-
-    /// Creates a new empty pager file at `path`, truncating any existing
-    /// file.
-    pub fn create(path: &Path) -> Result<Self> {
-        Ok(Self::from_inner(PagerInner::create(path)?))
-    }
-
-    /// [`Pager::create`] with an explicit cache capacity in pages.
-    pub fn create_with_cache(path: &Path, cache_pages: usize) -> Result<Self> {
-        Ok(Self::from_inner(PagerInner::create_with_cache(
-            path,
-            cache_pages,
-        )?))
-    }
-
-    /// Opens an existing pager file.
-    pub fn open(path: &Path) -> Result<Self> {
-        Ok(Self::from_inner(PagerInner::open(path)?))
-    }
-
-    /// [`Pager::open`] with an explicit cache capacity in pages.
-    pub fn open_with_cache(path: &Path, cache_pages: usize) -> Result<Self> {
-        Ok(Self::from_inner(PagerInner::open_with_cache(
-            path,
-            cache_pages,
-        )?))
-    }
-
-    /// Opens an existing pager file read-only, preferring an mmap of
-    /// the whole file (see the struct docs). Falls back to the buffered
-    /// read-write pager on any mapping failure.
-    pub fn open_readonly(path: &Path) -> Result<Self> {
-        Ok(Self::from_inner(PagerInner::open_readonly(path)?))
-    }
-
-    /// Whether this pager serves reads from a read-only mmap.
-    pub fn is_mapped(&self) -> bool {
-        self.inner.is_mapped()
-    }
-
-    /// Number of pages currently allocated.
-    pub fn page_count(&self) -> u32 {
-        self.inner.page_count()
-    }
-
-    /// `(physical_reads, physical_writes)` performed so far.
-    pub fn io_stats(&self) -> (u64, u64) {
-        self.inner.io_stats()
-    }
-
-    /// Cache hit/miss/eviction counters since creation.
-    pub fn counters(&self) -> PagerCounters {
-        self.inner.counters()
-    }
-
-    /// Allocates a fresh zeroed page at the end of the file.
-    pub fn allocate(&self) -> Result<PageId> {
-        self.inner.allocate()
-    }
-
-    /// Reads page `id` into `out`.
-    pub fn read(&self, id: PageId, out: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        self.inner.read(id, out)
-    }
-
-    /// Runs `f` over page `id`'s bytes **in place** in the cache slot —
-    /// the zero-copy read path of the posting pipeline; see
-    /// `PagerInner::with_page` for the pinning contract (the page is
-    /// pinned by the shard latch exactly for the duration of `f`, and
-    /// `f` must not reenter the pager).
-    pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
-        self.inner.with_page(id, f)
-    }
-
-    /// Writes `data` as the new contents of page `id`.
-    pub fn write(&self, id: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
-        self.inner.write(id, data)
-    }
-
-    /// Flushes all dirty pages (and the file) to disk.
-    pub fn flush(&self) -> Result<()> {
-        self.inner.flush()
-    }
-
-    /// Total size of the file in bytes after a flush.
-    pub fn size_bytes(&self) -> u64 {
-        self.inner.size_bytes()
-    }
-
-    /// Asks the prefetcher to walk the overflow chain headed at `first`
-    /// and pull up to `max_pages` of it into the page cache (buffered
-    /// mode) or touch it into the OS page cache (mmap mode), ahead of a
-    /// consumer about to stream it. Returns `None` when prefetching is
-    /// disabled, the queue cap is reached, or there is nothing to do.
-    /// Dropping the ticket cancels whatever has not happened yet.
-    ///
-    /// Safe only against pages no writer mutates concurrently — the
-    /// B+Tree guarantees this (readers hold `&BTree`, mutation requires
-    /// `&mut`), and speculative loads of stale bytes are shed at insert
-    /// time if a consumer got there first.
-    pub fn prefetch_chain(&self, first: PageId, max_pages: u32) -> Option<PrefetchTicket> {
-        if self.hint_window_resident(first, max_pages, true) {
-            return None;
-        }
-        crate::prefetch::submit(
-            std::sync::Arc::downgrade(&self.inner),
-            first,
-            max_pages,
-            crate::prefetch::RequestKind::Chain,
-        )
-    }
-
-    /// Like [`Pager::prefetch_chain`] but for a known-contiguous run of
-    /// `pages` pages starting at `start` (no link-following).
-    pub fn prefetch_run(&self, start: PageId, pages: u32) -> Option<PrefetchTicket> {
-        if self.hint_window_resident(start, pages, false) {
-            return None;
-        }
-        crate::prefetch::submit(
-            std::sync::Arc::downgrade(&self.inner),
-            start,
-            pages,
-            crate::prefetch::RequestKind::Run,
-        )
-    }
-
-    /// True when the hinted window is (heuristically) already
-    /// cache-resident, so submitting would only wake a worker to walk
-    /// resident headers — and contend on shard latches with the very
-    /// consumer the hint is meant to help. That wakeup-and-walk is
-    /// pure overhead on fully warm scans, so the hint is suppressed.
-    ///
-    /// The probe checks the two *ends* of the window (chains descend,
-    /// so a chain window's far end is `start - (pages-1)`); probing
-    /// only the start page would break cold rolling re-hints, whose
-    /// start is exactly the page the previous hint just loaded. Both
-    /// probes are counter- and LRU-neutral. A wrong guess fails safe:
-    /// a window that straddles an eviction gap submits as before, and
-    /// the worker's walk over its resident prefix is cheap. Mapped
-    /// pagers always submit — OS page-cache residency is not cheaply
-    /// observable, and their touch reads have no latches to contend.
-    fn hint_window_resident(&self, start: PageId, pages: u32, descending: bool) -> bool {
-        if pages == 0 || self.inner.is_mapped() {
-            return false;
-        }
-        let span = pages - 1;
-        let far = if descending {
-            start.saturating_sub(span)
-        } else {
-            start.saturating_add(span)
-        };
-        self.inner.cached_page_header(start).is_some()
-            && (far == start || self.inner.cached_page_header(far).is_some())
-    }
-}
-
-pub use crate::prefetch::PrefetchTicket;
 
 #[cfg(test)]
 mod tests {
